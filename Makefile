@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt check bench bench-json serve smoke cluster-smoke cluster-bench workload-smoke obs-smoke cache-delta-bench
+.PHONY: all build test race vet lint fmt check perfbench bench bench-json serve smoke cluster-smoke cluster-bench workload-smoke obs-smoke cache-delta-bench
 
 all: check
 
@@ -30,7 +30,13 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-check: fmt vet lint race obs-smoke
+check: fmt vet lint perfbench race obs-smoke
+
+# perfbench/ is a nested Go module, so the root ./... never compiles it:
+# vet and build it on its own so a root API change that breaks the
+# benchmark fails here.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) build ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -1,8 +1,19 @@
 package simpush
 
 import (
+	"context"
 	"testing"
 )
+
+// batch runs one Client.BatchSingleSource call on a fresh client for g.
+func batch(g *Graph, queries []int32, opt Options, parallelism int) ([]*Result, error) {
+	c, err := NewClient(g, opt)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	return c.BatchSingleSource(context.Background(), queries, parallelism)
+}
 
 func TestBatchSingleSource(t *testing.T) {
 	g, err := SyntheticWebGraph(5000, 8, 11)
@@ -10,7 +21,7 @@ func TestBatchSingleSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := []int32{0, 17, 512, 4999, 17}
-	results, err := BatchSingleSource(g, queries, Options{Epsilon: 0.05, Seed: 3}, 2)
+	results, err := batch(g, queries, Options{Epsilon: 0.05, Seed: 3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +43,7 @@ func TestBatchValidatesNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BatchSingleSource(g, []int32{5, 99999}, Options{}, 0); err == nil {
+	if _, err := batch(g, []int32{5, 99999}, Options{}, 0); err == nil {
 		t.Fatal("out-of-range query accepted")
 	}
 }
@@ -42,7 +53,7 @@ func TestBatchEmptyAndDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BatchSingleSource(g, nil, Options{}, 0)
+	res, err := batch(g, nil, Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +61,7 @@ func TestBatchEmptyAndDefaults(t *testing.T) {
 		t.Fatal("nonempty result for empty batch")
 	}
 	// parallelism larger than batch clamps
-	res, err = BatchSingleSource(g, []int32{1}, Options{Epsilon: 0.1}, 64)
+	res, err = batch(g, []int32{1}, Options{Epsilon: 0.1}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +79,7 @@ func TestBatchMatchesSingleAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := BatchSingleSource(g, []int32{7}, Options{Epsilon: 0.02, Seed: 9}, 2)
+	results, err := batch(g, []int32{7}, Options{Epsilon: 0.02, Seed: 9}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +105,12 @@ func TestDynamicGraphFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(g, Options{Epsilon: 0.01, Seed: 1})
+	ctx := context.Background()
+	c, err := NewClient(g, Options{Epsilon: 0.01, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.SingleSource(1)
+	res, err := c.SingleSource(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +126,11 @@ func TestDynamicGraphFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2, err := New(g2, Options{Epsilon: 0.01, Seed: 1})
+	c2, err := NewClient(g2, Options{Epsilon: 0.01, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := eng2.SingleSource(1)
+	res2, err := c2.SingleSource(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,68 +159,7 @@ func TestBatchInvalidOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BatchSingleSource(g, []int32{1, 2}, Options{Epsilon: 5}, 2); err == nil {
+	if _, err := batch(g, []int32{1, 2}, Options{Epsilon: 5}, 2); err == nil {
 		t.Fatal("invalid epsilon accepted")
-	}
-}
-
-// TestBatchReusesCachedClient verifies the deprecated wrapper no longer
-// constructs (and abandons) an engine pool per call: repeated batches on
-// the same (graph, options) share one package-cached Client.
-func TestBatchReusesCachedClient(t *testing.T) {
-	g, err := SyntheticWebGraph(800, 5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := Options{Epsilon: 0.1, Seed: 21}
-	if _, err := BatchSingleSource(g, []int32{1, 2}, opt, 2); err != nil {
-		t.Fatal(err)
-	}
-	batchMu.Lock()
-	first := batchClients[batchKey{g: g, opt: opt}]
-	batchMu.Unlock()
-	if first == nil {
-		t.Fatal("no client cached after first batch")
-	}
-	if _, err := BatchSingleSource(g, []int32{3}, opt, 1); err != nil {
-		t.Fatal(err)
-	}
-	batchMu.Lock()
-	second := batchClients[batchKey{g: g, opt: opt}]
-	batchMu.Unlock()
-	if second != first {
-		t.Fatal("second batch did not reuse the cached client")
-	}
-	// Different options are a different pool.
-	if _, err := BatchSingleSource(g, []int32{1}, Options{Epsilon: 0.2, Seed: 21}, 1); err != nil {
-		t.Fatal(err)
-	}
-	batchMu.Lock()
-	entries := len(batchClients)
-	batchMu.Unlock()
-	if entries < 2 {
-		t.Fatalf("distinct options share a client: %d entries", entries)
-	}
-}
-
-// TestBatchClientCacheBounded fills the cache beyond its bound and checks
-// eviction keeps it at the cap.
-func TestBatchClientCacheBounded(t *testing.T) {
-	g, err := SyntheticWebGraph(500, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2*maxCachedBatchClients; i++ {
-		opt := Options{Epsilon: 0.1 + float64(i)*0.01, Seed: 5}
-		if _, err := BatchSingleSource(g, []int32{1}, opt, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	batchMu.Lock()
-	entries := len(batchClients)
-	order := len(batchOrder)
-	batchMu.Unlock()
-	if entries > maxCachedBatchClients || order != entries {
-		t.Fatalf("cache holds %d clients (order %d), bound %d", entries, order, maxCachedBatchClients)
 	}
 }

@@ -106,8 +106,7 @@ func buildQueryOpts(opts []QueryOption) core.QueryOpts {
 // reproducible single queries pass WithSeed (seeded queries run in a
 // bounded seed scope and never perturb other streams). A single-goroutine
 // stream always runs on the client's pinned primary engine, so it is
-// reproducible in (snapshot sequence, options, query order) exactly like
-// a v1 Engine.
+// reproducible in (snapshot sequence, options, query order).
 type Client struct {
 	src GraphSource
 	opt Options
@@ -124,8 +123,8 @@ type Client struct {
 	// primary is the engine carrying the client's base seed. It is pinned
 	// for the client's lifetime (a sync.Pool may drop idle entries at any
 	// GC, which would silently swap in a differently-seeded engine), so a
-	// single-goroutine query stream is reproducible exactly like a v1
-	// Engine. primaryFree hands it out to at most one query at a time.
+	// single-goroutine query stream is reproducible. primaryFree hands it
+	// out to at most one query at a time.
 	primary     *core.SimPush
 	primaryFree atomic.Pointer[core.SimPush]
 

@@ -342,9 +342,9 @@ type ReplicaStats struct {
 
 // StatsSnapshot is the proxy's /statsz payload. The top-level field
 // names (graph_n, epoch, cache, client) deliberately mirror a replica's
-// /statsz so tooling that reads either — simbench -http in particular —
-// works against both; aggregates are summed over the roster and Replicas
-// carries the per-replica breakdown.
+// /statsz so readers of either — simload's statsz deltas and the replica
+// prober's decoder — work against both; aggregates are summed over the
+// roster and Replicas carries the per-replica breakdown.
 type StatsSnapshot struct {
 	Proxy         bool               `json:"proxy"`
 	Policy        string             `json:"policy"`
@@ -398,6 +398,8 @@ func (p *Proxy) Stats() StatsSnapshot {
 			snap.Cache.Misses += st.Cache.Misses
 			snap.Cache.Coalesced += st.Cache.Coalesced
 			snap.Cache.Evictions += st.Cache.Evictions
+			snap.Cache.Carried += st.Cache.Carried
+			snap.Cache.CarryDropped += st.Cache.CarryDropped
 			snap.Cache.Entries += st.Cache.Entries
 			snap.Client.Queries += st.Client.Queries
 			snap.Client.Errors += st.Client.Errors

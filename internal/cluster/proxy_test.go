@@ -352,6 +352,34 @@ func TestProxyStatszAggregates(t *testing.T) {
 	}
 }
 
+// TestProxyStatsSumsCarryCounters: the aggregate cache block sums every
+// replica's carry-forward counters like the other cache counters, so
+// cache.carried behind the proxy is not stuck at 0.
+func TestProxyStatsSumsCarryCounters(t *testing.T) {
+	set, err := NewSet(SetConfig{Replicas: []string{"127.0.0.1:1", "127.0.0.1:2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range set.Replicas() {
+		st := server.StatsSnapshot{}
+		st.Cache.Hits = uint64(10 * (i + 1))
+		st.Cache.Carried = uint64(3 * (i + 1))
+		st.Cache.CarryDropped = uint64(i + 1)
+		r.stats.Store(&st)
+	}
+	p, err := New(Config{Set: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := p.Stats()
+	if snap.Cache.Hits != 30 {
+		t.Fatalf("cache.hits = %d, want 30", snap.Cache.Hits)
+	}
+	if snap.Cache.Carried != 9 || snap.Cache.CarryDropped != 3 {
+		t.Fatalf("cache.carried = %d, carry_dropped = %d; want 9, 3", snap.Cache.Carried, snap.Cache.CarryDropped)
+	}
+}
+
 // TestProxyNoRoutableReplica: with nothing routable the proxy sheds with
 // 503 no_replica rather than hanging or guessing.
 func TestProxyNoRoutableReplica(t *testing.T) {

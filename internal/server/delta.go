@@ -24,31 +24,17 @@ import (
 
 // installCarryForward resolves the delta depth and budget and registers
 // the commit hook on the dynamic source. Called once from New.
+//
+// The depth is the engine's walk-depth truncation bound L*, which covers
+// everything a default-ε query reads. The budget is half the graph (at
+// startup), at least 1024: past that point most of the cache is affected
+// anyway and the BFS costs graph-sized work for little carried value, so
+// falling back to Total is the better trade.
 func (s *Server) installCarryForward() {
 	s.engineOpts = s.client.Options()
-	depth := s.cfg.DeltaDepth
-	if depth <= 0 {
-		depth = s.engineOpts.MaxLevelBound()
-	}
-	budget := s.cfg.DeltaBudget
-	if budget == 0 {
-		// Auto: half the graph (at startup). Past that point most of the
-		// cache is affected anyway and the BFS costs graph-sized work for
-		// little carried value, so falling back to Total is the better
-		// trade.
-		budget = int(s.client.Graph().N()) / 2
-		if budget < 1024 {
-			budget = 1024
-		}
-	} else if budget < 0 {
-		budget = 0 // explicit "unbounded"
-	}
-	s.deltaDepth, s.deltaBudget = depth, budget
-	// An entry computed with the engine-default ε is only safe to carry
-	// if the delta BFS ran at least as deep as the engine reads. True
-	// unless Config.DeltaDepth was forced below the engine's own bound.
-	s.carryDefaultSafe = s.engineOpts.MaxLevelBound() <= depth
-	s.dyn.SetCommitHook(s.onEpochDelta, depth, budget)
+	s.deltaDepth = s.engineOpts.MaxLevelBound()
+	s.deltaBudget = max(1024, int(s.client.Graph().N())/2)
+	s.dyn.SetCommitHook(s.onEpochDelta, s.deltaDepth, s.deltaBudget)
 }
 
 // onEpochDelta is the commit hook: it records the delta counters and
@@ -135,7 +121,7 @@ func (s *Server) paramsCarrySafe(params string) bool {
 		return false
 	}
 	if eps == 0 {
-		return s.carryDefaultSafe
+		return true // the delta BFS ran at the engine-default L*
 	}
 	opt := s.engineOpts
 	opt.Epsilon = eps

@@ -101,20 +101,6 @@ type Config struct {
 	// default (carry enabled) is strictly better under mutation.
 	DisableCarryForward bool
 
-	// DeltaDepth overrides the affected-set BFS depth used to judge which
-	// cached results a mutation can have changed. 0 (the default) uses
-	// the engine's own walk-depth truncation bound L*, which covers
-	// everything a default-ε query reads; setting it lower trades carry
-	// coverage for cheaper deltas (entries needing deeper reads are
-	// dropped instead of carried).
-	DeltaDepth int
-
-	// DeltaBudget caps the affected-set size before a delta falls back
-	// to dropping the whole cache (EpochDelta.Total). 0 (the default)
-	// auto-sizes to half the graph's startup node count (min 1024);
-	// negative means unbounded.
-	DeltaBudget int
-
 	// TraceRing retains the last N completed query traces for GET
 	// /debug/queries. 0 (the default) keeps no ring. Tracing — span
 	// recording on the request path — is active when TraceRing or
@@ -223,7 +209,6 @@ type Server struct {
 	engineOpts        simpush.Options
 	deltaDepth        int
 	deltaBudget       int
-	carryDefaultSafe  bool
 	deltas            atomic.Uint64
 	deltaTotals       atomic.Uint64
 	deltaAffectedLast atomic.Uint64

@@ -107,8 +107,9 @@ func TestRunOpenLoopScoresSLO(t *testing.T) {
 	}
 }
 
-// TestRunClosedLoop drives the closed-loop mode (the simbench -http
-// shim's path): fixed workers, hot-set popularity, cache hits expected.
+// TestRunClosedLoop drives the closed-loop mode (the path
+// scripts/cluster_bench.sh uses): fixed workers, hot-set popularity,
+// cache hits expected.
 func TestRunClosedLoop(t *testing.T) {
 	base := newTestTarget(t)
 	spec := &workload.Spec{

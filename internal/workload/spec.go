@@ -1,5 +1,5 @@
 // Package workload is the declarative workload-model subsystem behind
-// cmd/simload (and the deprecated simbench -http shim): it turns a
+// cmd/simload: it turns a
 // compact JSON/flag spec — traffic classes with arrival processes, node
 // popularity distributions and endpoint mixes — into a fully replayable
 // request trace, drives a running simrankd or simproxy over HTTP, and
@@ -106,7 +106,7 @@ type ClassSpec struct {
 	//              product traffic that doesn't set seeds at all)
 	//   fresh      every request draws a new seed → every query misses
 	//   hot-pinned pinned for nodes drawn from the hot set, fresh
-	//              otherwise (the historical simbench -http behaviour)
+	//              otherwise (hot repeats hit, cold draws miss)
 	SeedPolicy string `json:"seed_policy,omitempty"`
 }
 

@@ -4,7 +4,7 @@
 # Measures what cache-affinity routing buys: boots a 3-replica cluster
 # (leader + 2 followers) behind simproxy twice — once with round-robin
 # routing, once with consistent-hash — drives the same hot repeated-query
-# workload through the proxy with simbench -http, and emits
+# workload through the proxy with simload, and emits
 # BENCH_PR6.json with the aggregate cache hit rate per policy. Each
 # replica's cache is deliberately smaller than the hot set, so
 # round-robin (every replica sees every node) thrashes while hash
@@ -41,7 +41,28 @@ awk 'BEGIN { for (i = 0; i < 200; i++) { print i, (i*7+1)%200; print i, (i*13+5)
 
 go build -o "$tmp/simrankd" ./cmd/simrankd
 go build -o "$tmp/simproxy" ./cmd/simproxy
-go build -o "$tmp/simbench" ./cmd/simbench
+go build -o "$tmp/simload" ./cmd/simload
+
+# The load: one closed-loop class of 8 request loops, every draw from the
+# hot set, hot-pinned seeds (so hot repeats are cache-identical), and
+# single-source queries only. -duration sets each run's window.
+cat > "$tmp/spec.json" <<JSON
+{
+  "name": "cluster-affinity",
+  "description": "hot repeated single-source reads through simproxy",
+  "duration": "$WINDOW",
+  "seed": 5368231,
+  "classes": [
+    {
+      "name": "load",
+      "arrival": {"process": "closed", "concurrency": 8},
+      "popularity": {"dist": "hotset", "hot": $HOT, "hot_frac": 1.0},
+      "mix": [{"op": "single-source", "weight": 1}],
+      "seed_policy": "hot-pinned"
+    }
+  ]
+}
+JSON
 
 wait_addr() {
   local log=$1 addr=""
@@ -53,7 +74,7 @@ wait_addr() {
   return 1
 }
 
-# run_policy POLICY -> writes the simbench report to $tmp/report.$POLICY
+# run_policy POLICY -> writes the simload report to $tmp/report.$POLICY
 run_policy() {
   local policy=$1
   "$tmp/simrankd" -graph "$tmp/g.txt" -addr 127.0.0.1:0 -lead \
@@ -80,23 +101,31 @@ run_policy() {
   done
 
   # Warm the caches under the policy being measured, then measure.
-  "$tmp/simbench" -http "http://$proxy" -http-duration "$WARMUP" \
-    -http-concurrency 8 -http-hot "$HOT" -http-hotfrac 1.0 -v=false > /dev/null
-  "$tmp/simbench" -http "http://$proxy" -http-duration "$WINDOW" \
-    -http-concurrency 8 -http-hot "$HOT" -http-hotfrac 1.0 -v=false \
-    > "$tmp/report.$policy"
+  "$tmp/simload" -target "http://$proxy" -spec "$tmp/spec.json" \
+    -duration "$WARMUP" > /dev/null 2> "$tmp/simload.log"
+  "$tmp/simload" -target "http://$proxy" -spec "$tmp/spec.json" \
+    -duration "$WINDOW" -out "$tmp/report.$policy" > /dev/null 2> "$tmp/simload.log"
   stop_cluster
 }
 
 run_policy round-robin
 run_policy hash
 
-metric() { awk -F'\t' -v m="$2" '$1 == m { print $2 }' "$tmp/report.$1"; }
+# metric POLICY FIELD DIGITS -> the first "FIELD": number in the policy's
+# simload report, rounded to DIGITS places. A one-scenario report holds
+# throughput_rps once, and hit_rate only in its cache block.
+metric() {
+  sed -n 's/^ *"'"$2"'": \([-+.0-9eE]*\),*$/\1/p' "$tmp/report.$1" | head -1 |
+    awk -v d="$3" 'NF { printf "%.*f\n", d, $1 }'
+}
 
-RR_HIT=$(metric round-robin cache_hit_rate)
-HASH_HIT=$(metric hash cache_hit_rate)
-RR_RPS=$(metric round-robin throughput_rps)
-HASH_RPS=$(metric hash throughput_rps)
+RR_HIT=$(metric round-robin hit_rate 3)
+HASH_HIT=$(metric hash hit_rate 3)
+RR_RPS=$(metric round-robin throughput_rps 1)
+HASH_RPS=$(metric hash throughput_rps 1)
+for v in "$RR_HIT" "$HASH_HIT" "$RR_RPS" "$HASH_RPS"; do
+  [ -n "$v" ] || { echo "cluster bench: FAIL: a simload report lacks hit_rate or throughput_rps" >&2; exit 1; }
+done
 
 {
   echo "{"
